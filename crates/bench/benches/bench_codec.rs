@@ -9,10 +9,12 @@
 //!    containers) the pool degenerates to the calling thread and the
 //!    measured ratio reports the frame's bookkeeping overhead instead,
 //!    so the JSON records `host_cpus` next to the ratio.
-//! 2. **Single-threaded kernels** — the batch-loop [`StridePredictor`]
+//! 2. **Single-threaded kernels** — the batch-kernel [`StridePredictor`]
 //!    vs the original per-byte rescanning [`ReferencePredictor`]
-//!    (forward and inverse), plus deflate over raw and transformed
-//!    streams. Target: ≥1.5× end-to-end single-threaded compress.
+//!    (forward and inverse; the gated `predictor_*_speedup` fields),
+//!    the fast predictor alone on a synthetic sliding-median segment
+//!    stream, plus deflate compress over raw and transformed streams
+//!    and deflate decompress of the transformed one.
 //! 3. **Ratio cost** — compressed size of the block frame vs the
 //!    whole-buffer stream (must stay within 5%), plus a 64 KiB–1 MiB
 //!    block-size sweep backing the 256 KiB default.
@@ -70,6 +72,28 @@ fn main() {
         g.finish();
     }
 
+    // 1b. The same kernels on the stream the sliding-median job's
+    //     transform codec sees: 22-byte SequenceFile records with random
+    //     values, where the active set is a few multiples of 22.
+    {
+        let segment = if fast_mode() {
+            workloads::median_segment_stream(96, 96, 1)
+        } else {
+            workloads::median_segment_stream(384, 384, 1)
+        };
+        let transformed = StridePredictor::new(config.clone()).forward(&segment);
+        let mut g = criterion.benchmark_group("codec_predictor_median");
+        g.throughput(Throughput::Bytes(segment.len() as u64))
+            .sample_size(samples);
+        g.bench_function("fast/forward", |b| {
+            b.iter(|| black_box(StridePredictor::new(config.clone()).forward(&segment)))
+        });
+        g.bench_function("fast/inverse", |b| {
+            b.iter(|| black_box(StridePredictor::new(config.clone()).inverse(&transformed)))
+        });
+        g.finish();
+    }
+
     // 2. Deflate over the raw and the transformed stream (the two
     //    shapes the match finder sees in the shuffle).
     {
@@ -83,6 +107,10 @@ fn main() {
         });
         g.bench_function("compress/transformed", |b| {
             b.iter(|| black_box(deflate.compress(&transformed)))
+        });
+        let z_transformed = deflate.compress(&transformed);
+        g.bench_function("decompress/transformed", |b| {
+            b.iter(|| black_box(deflate.decompress(&z_transformed).unwrap()))
         });
         g.finish();
     }

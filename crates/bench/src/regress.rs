@@ -46,7 +46,9 @@ pub struct Budget {
 /// paper-facing v3 compression result (0.288× committed, gated at
 /// ≤0.35×) and its skip rate; the lz-vs-deflate floor protects the
 /// fast-codec throughput claim (≥3× deflate compress, §"LZ-class
-/// codec" in DESIGN.md).
+/// codec" in DESIGN.md); the predictor floors hold the batch kernel at
+/// 1.5× the speedup over the reference predictor that the per-byte
+/// kernel before it measured (4.27× forward, 4.75× inverse).
 pub const BUDGETS: &[Budget] = &[
     Budget {
         file: "BENCH_obs.json",
@@ -95,6 +97,18 @@ pub const BUDGETS: &[Budget] = &[
         field: "lz_vs_deflate_compress_speedup",
         max: None,
         min: Some(3.0),
+    },
+    Budget {
+        file: "BENCH_codec.json",
+        field: "predictor_forward_speedup",
+        max: None,
+        min: Some(6.4),
+    },
+    Budget {
+        file: "BENCH_codec.json",
+        field: "predictor_inverse_speedup",
+        max: None,
+        min: Some(7.1),
     },
     Budget {
         file: "BENCH_ifile.json",
@@ -531,22 +545,46 @@ mod tests {
         assert!(checks.iter().all(|c| c.value == "missing"));
     }
 
+    fn codec_doc(lz: f64, forward: f64, inverse: f64) -> Json {
+        parse(&format!(
+            r#"{{"size_regression_percent": 0.5, "lz_vs_deflate_compress_speedup": {lz},
+                "predictor_forward_speedup": {forward}, "predictor_inverse_speedup": {inverse}}}"#
+        ))
+        .unwrap()
+    }
+
+    fn failing(doc: &Json) -> Vec<String> {
+        check_budgets(doc, "BENCH_codec.json")
+            .into_iter()
+            .filter(|c| !c.ok)
+            .map(|c| c.name)
+            .collect()
+    }
+
     #[test]
     fn lz_throughput_floor_gates_slow_compressors() {
-        let fast =
-            parse(r#"{"size_regression_percent": 0.5, "lz_vs_deflate_compress_speedup": 12.4}"#)
-                .unwrap();
-        let checks = check_budgets(&fast, "BENCH_codec.json");
-        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
+        assert_eq!(failing(&codec_doc(12.4, 8.0, 9.0)), Vec::<String>::new());
         // A speedup below the 3x floor fails: the fast codec's whole
         // reason to exist is being cheap enough to always leave on.
-        let slow =
-            parse(r#"{"size_regression_percent": 0.5, "lz_vs_deflate_compress_speedup": 1.2}"#)
-                .unwrap();
-        let checks = check_budgets(&slow, "BENCH_codec.json");
-        let bad: Vec<_> = checks.iter().filter(|c| !c.ok).collect();
+        let bad = failing(&codec_doc(1.2, 8.0, 9.0));
         assert_eq!(bad.len(), 1);
-        assert!(bad[0].name.contains("lz_vs_deflate_compress_speedup"));
+        assert!(bad[0].contains("lz_vs_deflate_compress_speedup"));
+    }
+
+    #[test]
+    fn predictor_floors_gate_a_kernel_back_at_the_per_byte_speed() {
+        // The per-byte kernel's committed speedups fail both floors.
+        let bad = failing(&codec_doc(12.4, 4.27, 4.75));
+        assert_eq!(bad.len(), 2, "{bad:?}");
+        assert!(bad[0].contains("predictor_forward_speedup"));
+        assert!(bad[1].contains("predictor_inverse_speedup"));
+        // A missing field fails closed.
+        let partial = parse(
+            r#"{"size_regression_percent": 0.5, "lz_vs_deflate_compress_speedup": 12.4,
+                "predictor_forward_speedup": 8.0}"#,
+        )
+        .unwrap();
+        assert_eq!(failing(&partial).len(), 1);
     }
 
     #[test]

@@ -1,11 +1,43 @@
 //! Deterministic workload generators shared by the experiments.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use scihadoop_grid::{GridWalker, RowMajorWalker, Shape, Variable};
 
 /// The Fig. 3 byte stream: "a raw stream of triples of 32-bit integers,
 /// taken by walking a grid" — n³ cells × 12 bytes.
 pub fn grid_key_stream(n: u32) -> Vec<u8> {
     RowMajorWalker::cube(n, 3).key_stream_be()
+}
+
+/// A synthetic stand-in for one map-output segment of the 2-D sliding
+/// median (`median_transform`): an IFile header, then SequenceFile
+/// records (4-byte length, key/value vints, 12-byte indexed key, 4-byte
+/// value: 22 bytes each) in sorted key order. A `rows × cols` block of
+/// window centres is walked row-major; each centre lands in this
+/// segment's partition with probability 1/5 (five reducers) and then
+/// appears 9× in a row, once per 3×3 neighbour, with a random cell value
+/// in `[0, 1_000_000)`: the record shape the transform codec's
+/// predictor sees on that workload.
+pub fn median_segment_stream(rows: u32, cols: u32, seed: u64) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = b"SHIF\x02\x00".to_vec();
+    for y in 0..rows as i32 {
+        for x in 0..cols as i32 {
+            if rng.random_range(0u32..5) != 0 {
+                continue;
+            }
+            for _ in 0..9 {
+                out.extend_from_slice(&18u32.to_be_bytes());
+                out.extend_from_slice(&[12, 4]);
+                out.extend_from_slice(&0i32.to_be_bytes());
+                out.extend_from_slice(&y.to_be_bytes());
+                out.extend_from_slice(&x.to_be_bytes());
+                out.extend_from_slice(&rng.random_range(0i32..1_000_000).to_be_bytes());
+            }
+        }
+    }
+    out
 }
 
 /// The §I / Fig. 8 dataset: an n³ grid of integers.

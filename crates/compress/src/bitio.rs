@@ -102,6 +102,24 @@ impl<'a> BitReader<'a> {
         Ok(v)
     }
 
+    /// The next `n` bits (`n <= 56`) without consuming them, zero past
+    /// the end of the data, and how many of them are real.
+    pub fn peek_bits(&mut self, n: u32) -> (u64, u32) {
+        debug_assert!(n <= 56);
+        if self.nbits < n {
+            self.refill();
+        }
+        let avail = self.nbits.min(n);
+        (self.acc & ((1u64 << avail) - 1), avail)
+    }
+
+    /// Drop `n` bits that [`peek_bits`](Self::peek_bits) reported real.
+    pub fn consume(&mut self, n: u32) {
+        debug_assert!(n <= self.nbits);
+        self.acc >>= n;
+        self.nbits -= n;
+    }
+
     /// Read one bit.
     pub fn read_bit(&mut self) -> Result<u32, CompressError> {
         Ok(self.read_bits(1)? as u32)
@@ -164,6 +182,18 @@ mod tests {
         let mut r = BitReader::new(&[0xFF]);
         assert_eq!(r.read_bits(8).unwrap(), 0xFF);
         assert!(r.read_bits(1).is_err());
+    }
+
+    #[test]
+    fn peek_reports_real_bits_and_zero_pads() {
+        let mut r = BitReader::new(&[0b1010_1100, 0xFF]);
+        assert_eq!(r.peek_bits(4), (0b1100, 4));
+        r.consume(3);
+        assert_eq!(r.read_bits(5).unwrap(), 0b10101);
+        assert_eq!(r.peek_bits(12), (0xFF, 8));
+        r.consume(8);
+        assert_eq!(r.peek_bits(1), (0, 0));
+        assert_eq!(r.bits_remaining(), 0);
     }
 
     #[test]

@@ -333,9 +333,15 @@ impl Codec for DeflateCodec {
                         )));
                     }
                     let start = out.len() - dist;
-                    for k in 0..len {
-                        let b = out[start + k];
-                        out.push(b);
+                    if dist >= len {
+                        out.extend_from_within(start..start + len);
+                    } else {
+                        // Overlapping copy: each byte may be one this
+                        // match just produced.
+                        for k in 0..len {
+                            let b = out[start + k];
+                            out.push(b);
+                        }
                     }
                 }
                 _ => return Err(CompressError::Corrupt(format!("bad symbol {sym}"))),

@@ -211,19 +211,24 @@ impl Decoder {
 
     /// Decode one symbol, consuming exactly its code length in bits.
     ///
-    /// Codes are prefix-free, so at any full-width table index exactly one
-    /// code matches; accumulating bits LSB-first and checking the table
-    /// entry's length after each bit finds it without over-reading.
+    /// One peek of `table_bits` bits indexes the table; codes are
+    /// prefix-free, so the entry names the one code those bits start
+    /// with. Past the end of the data the missing bits read as zero: an
+    /// entry longer than the real bits left is a truncated stream, and
+    /// an unmapped entry (only incomplete tables have them) is corrupt.
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<usize, CompressError> {
-        let mut acc: usize = 0;
-        for bit_no in 0..self.table_bits {
-            acc |= (r.read_bit()? as usize) << bit_no;
-            let (sym, len) = self.table[acc];
-            if sym != u16::MAX && len as u32 == bit_no + 1 {
-                return Ok(sym as usize);
-            }
+        let (bits, avail) = r.peek_bits(self.table_bits);
+        let (sym, len) = self.table[bits as usize];
+        if sym == u16::MAX {
+            return Err(CompressError::Corrupt("invalid huffman code".into()));
         }
-        Err(CompressError::Corrupt("invalid huffman code".into()))
+        if u32::from(len) > avail {
+            return Err(CompressError::Truncated(format!(
+                "huffman code of {len} bits, {avail} left"
+            )));
+        }
+        r.consume(u32::from(len));
+        Ok(usize::from(sym))
     }
 }
 

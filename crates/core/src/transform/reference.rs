@@ -1,14 +1,14 @@
 //! The original per-byte, per-stride predictor, retained verbatim as an
 //! executable specification.
 //!
-//! [`StridePredictor`](super::StridePredictor) now runs a batch loop
+//! [`StridePredictor`](super::StridePredictor) now runs a batch kernel
 //! over a compact active-stride list; this module keeps the
 //! straightforward implementation it replaced so that (a) property tests
 //! can assert the optimized path is byte-identical on arbitrary inputs
 //! and configs, and (b) `bench_codec` can measure the kernel speedup
 //! against the real before-state rather than a synthetic strawman.
 
-use super::predictor::TransformConfig;
+use super::predictor::{sort_reports, StrideReport, TransformConfig};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Sequence {
@@ -200,5 +200,41 @@ impl ReferencePredictor {
     /// Number of currently active strides.
     pub fn active_strides(&self) -> usize {
         self.strides.iter().filter(|s| s.active).count()
+    }
+
+    /// Per-stride diagnostics, in the order
+    /// [`StridePredictor::stride_reports`](super::StridePredictor::stride_reports)
+    /// uses.
+    pub fn stride_reports(&self) -> Vec<StrideReport> {
+        let mut out: Vec<StrideReport> = self
+            .strides
+            .iter()
+            .map(|st| StrideReport {
+                stride: st.stride,
+                active: st.active,
+                hits: st.hits,
+                observations: st.total,
+                best_run: (0..st.stride)
+                    .map(|phi| self.table[st.table_offset + phi].run)
+                    .max()
+                    .unwrap_or(0),
+            })
+            .collect();
+        sort_reports(&mut out);
+        out
+    }
+
+    /// Overall hit rate of the currently active strides.
+    pub fn mean_active_hit_rate(&self) -> f64 {
+        let (hits, total) = self
+            .strides
+            .iter()
+            .filter(|s| s.active)
+            .fold((0u64, 0u64), |(h, t), s| (h + s.hits, t + s.total));
+        if total == 0 {
+            0.0
+        } else {
+            hits as f64 / total as f64
+        }
     }
 }

@@ -187,3 +187,99 @@ proptest! {
         prop_assert_eq!(fast_inv.inverse(&fast_out), slow_inv.inverse(&slow_out));
     }
 }
+
+/// A median-segment-like stream: periodic records of `record_len` bytes
+/// (4-byte length, two vint bytes, an 8-byte `(y, x)` key, random value
+/// bytes), each key repeated 9× in a row, keys walking a `width`-wide
+/// grid with random gaps.
+fn record_stream(record_len: usize, width: i32, seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as u32
+    };
+    let (mut y, mut x) = (0i32, 0i32);
+    let mut out = Vec::with_capacity(len + record_len * 9);
+    while out.len() < len {
+        for _ in 0..9 {
+            out.extend_from_slice(&(record_len as u32 - 4).to_be_bytes());
+            out.extend_from_slice(&[8, (record_len - 14) as u8]);
+            out.extend_from_slice(&y.to_be_bytes());
+            out.extend_from_slice(&x.to_be_bytes());
+            for _ in 14..record_len {
+                out.push(next() as u8);
+            }
+        }
+        x += 1 + (next() % 3) as i32;
+        if x >= width {
+            x = 0;
+            y += 1;
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The batch kernels stay byte- and state-identical to
+    /// [`ReferencePredictor`] on record-structured streams spanning many
+    /// selection cycles, fed in random chunks (down to single bytes),
+    /// including thresholds above 1 and a zero run threshold. Besides the
+    /// output, the per-stride hit counts, run lengths and active flags
+    /// must match.
+    #[test]
+    fn fast_predictor_equals_reference_on_record_streams(
+        stream in (18usize..27, 3i32..60, any::<u64>(), 8192usize..12288),
+        max_stride in prop_oneof![Just(100usize), 20usize..100],
+        detector in (
+            prop_oneof![Just(32usize), Just(64), Just(256)],
+            prop_oneof![Just((5u32, 6u32)), Just((7, 6)), Just((1, 2)), (0u32..8, 1u32..8)],
+            prop_oneof![Just(0u32), 1u32..4],
+            prop_oneof![Just(true), Just(true), Just(true), Just(false)],
+        ),
+        chunks in proptest::collection::vec(prop_oneof![Just(1usize), 2usize..400], 1..64),
+    ) {
+        let (record_len, width, seed, len) = stream;
+        let (cycle, (hit_rate_num, hit_rate_den), run_threshold, adaptive) = detector;
+        let data = record_stream(record_len, width, seed, len);
+        let config = TransformConfig {
+            max_stride,
+            adaptive,
+            selection_cycle: cycle,
+            hit_rate_num,
+            hit_rate_den,
+            run_threshold,
+            ..TransformConfig::default()
+        };
+        let mut sizes = chunks.iter().cycle();
+        let mut fast = StridePredictor::new(config.clone());
+        let mut slow = ReferencePredictor::new(config.clone());
+        let mut fast_inv = StridePredictor::new(config.clone());
+        let mut slow_inv = ReferencePredictor::new(config);
+        let mut rest = &data[..];
+        let mut next_report = 0;
+        while !rest.is_empty() {
+            let n = (*sizes.next().expect("non-empty")).min(rest.len());
+            let (chunk, tail) = rest.split_at(n);
+            rest = tail;
+            let y = fast.forward(chunk);
+            prop_assert_eq!(&y, &slow.forward(chunk));
+            let x = fast_inv.inverse(&y);
+            prop_assert_eq!(&x, &slow_inv.inverse(&y));
+            prop_assert_eq!(&x[..], chunk);
+            prop_assert_eq!(fast.active_strides(), slow.active_strides());
+            if data.len() - rest.len() >= next_report || rest.is_empty() {
+                next_report += 1024;
+                prop_assert_eq!(fast.stride_reports(), slow.stride_reports());
+                prop_assert_eq!(fast_inv.stride_reports(), slow_inv.stride_reports());
+                prop_assert_eq!(
+                    fast.mean_active_hit_rate().to_bits(),
+                    slow.mean_active_hit_rate().to_bits()
+                );
+            }
+        }
+    }
+}

@@ -63,11 +63,18 @@ impl Variable {
     }
 
     /// Deterministic pseudo-random integer field in `[0, max)`.
+    ///
+    /// Cells are drawn in row-major order, one draw each, straight into
+    /// the big-endian byte buffer: the same bytes as
+    /// [`Variable::generate`] with the same draws, without building a
+    /// coordinate and a [`Value`] per cell.
     pub fn random_i32(name: &str, shape: Shape, max: i32, seed: u64) -> Result<Self, GridError> {
         let mut rng = StdRng::seed_from_u64(seed);
-        Variable::generate(name, DataType::I32, shape, |_| {
-            Value::I32(rng.random_range(0..max))
-        })
+        let mut v = Variable::zeros(name, DataType::I32, shape)?;
+        for cell in v.data.chunks_exact_mut(4) {
+            cell.copy_from_slice(&rng.random_range(0..max).to_be_bytes());
+        }
+        Ok(v)
     }
 
     /// Deterministic smooth float field (sum of per-dimension ramps plus
@@ -234,6 +241,25 @@ mod tests {
         let c = Variable::random_i32("r", Shape::new(vec![8, 8]), 100, 43).unwrap();
         assert_eq!(a.raw_data(), b.raw_data());
         assert_ne!(a.raw_data(), c.raw_data());
+    }
+
+    #[test]
+    fn random_i32_matches_the_generate_path() {
+        for (extents, seed, max) in [
+            (vec![1], 0, 1),
+            (vec![8, 8], 42, 100),
+            (vec![5, 7, 3], 7, 1_000_000),
+            (vec![33, 65], 1, i32::MAX),
+        ] {
+            let shape = Shape::new(extents);
+            let fast = Variable::random_i32("r", shape.clone(), max, seed).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let slow = Variable::generate("r", DataType::I32, shape, |_| {
+                Value::I32(rng.random_range(0..max))
+            })
+            .unwrap();
+            assert_eq!(fast.raw_data(), slow.raw_data(), "seed {seed}");
+        }
     }
 
     #[test]
