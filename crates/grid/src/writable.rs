@@ -85,34 +85,56 @@ impl GridKey {
 
     /// Deserialize a key with a *named* variable and `ndims` coordinates.
     pub fn read_named(buf: &[u8], ndims: usize) -> Result<(GridKey, usize), GridError> {
-        let (len, mut pos) = read_vint(buf)?;
-        let len = usize::try_from(len)
-            .map_err(|_| GridError::Deserialize("negative name length".into()))?;
-        if buf.len() < pos + len {
-            return Err(GridError::Deserialize("short read in variable name".into()));
-        }
-        let name = std::str::from_utf8(&buf[pos..pos + len])
-            .map_err(|_| GridError::Deserialize("variable name not UTF-8".into()))?
-            .to_string();
-        pos += len;
-        let (coord, used) = read_coord(&buf[pos..], ndims)?;
-        Ok((GridKey::new(VariableId::Name(name), coord), pos + used))
+        let (name, start) = read_name(buf)?;
+        let coords = coord_slice(&buf[start..], ndims)?;
+        let key = GridKey::new(VariableId::Name(name.to_string()), coord_from_be(coords));
+        Ok((key, start + coords.len()))
     }
 
     /// Deserialize a key with an *indexed* variable and `ndims` coordinates.
     pub fn read_indexed(buf: &[u8], ndims: usize) -> Result<(GridKey, usize), GridError> {
+        let coords = GridKey::coords_indexed(buf, ndims)?;
+        let idx = i32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
+        let key = GridKey::new(VariableId::Index(idx), coord_from_be(coords));
+        Ok((key, 4 + coords.len()))
+    }
+
+    /// The `4 * ndims` big-endian coordinate bytes of a named key, with
+    /// the checks and errors of [`GridKey::read_named`] and without
+    /// allocating. Bytes past the coordinate are not part of the result.
+    pub fn coords_named(buf: &[u8], ndims: usize) -> Result<&[u8], GridError> {
+        let (_, start) = read_name(buf)?;
+        coord_slice(&buf[start..], ndims)
+    }
+
+    /// The `4 * ndims` big-endian coordinate bytes of an indexed key, with
+    /// the checks and errors of [`GridKey::read_indexed`] and without
+    /// allocating.
+    pub fn coords_indexed(buf: &[u8], ndims: usize) -> Result<&[u8], GridError> {
         if buf.len() < 4 {
             return Err(GridError::Deserialize(
                 "short read in variable index".into(),
             ));
         }
-        let idx = i32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        let (coord, used) = read_coord(&buf[4..], ndims)?;
-        Ok((GridKey::new(VariableId::Index(idx), coord), 4 + used))
+        coord_slice(&buf[4..], ndims)
     }
 }
 
-fn read_coord(buf: &[u8], ndims: usize) -> Result<(Coord, usize), GridError> {
+/// A named key's variable name and the offset its coordinate starts at.
+fn read_name(buf: &[u8]) -> Result<(&str, usize), GridError> {
+    let (len, pos) = read_vint(buf)?;
+    let len =
+        usize::try_from(len).map_err(|_| GridError::Deserialize("negative name length".into()))?;
+    if buf.len() < pos + len {
+        return Err(GridError::Deserialize("short read in variable name".into()));
+    }
+    let name = std::str::from_utf8(&buf[pos..pos + len])
+        .map_err(|_| GridError::Deserialize("variable name not UTF-8".into()))?;
+    Ok((name, pos + len))
+}
+
+/// The first `4 * ndims` bytes of `buf`: one coordinate's components.
+fn coord_slice(buf: &[u8], ndims: usize) -> Result<&[u8], GridError> {
     if buf.len() < 4 * ndims {
         return Err(GridError::Deserialize(format!(
             "need {} bytes for {ndims}-d coordinate, have {}",
@@ -120,13 +142,17 @@ fn read_coord(buf: &[u8], ndims: usize) -> Result<(Coord, usize), GridError> {
             buf.len()
         )));
     }
-    let comps = (0..ndims)
-        .map(|d| {
-            let o = 4 * d;
-            i32::from_be_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]])
-        })
-        .collect();
-    Ok((Coord::new(comps), 4 * ndims))
+    Ok(&buf[..4 * ndims])
+}
+
+/// Build a coordinate from its big-endian components.
+pub fn coord_from_be(bytes: &[u8]) -> Coord {
+    Coord::new(
+        bytes
+            .chunks_exact(4)
+            .map(|c| i32::from_be_bytes([c[0], c[1], c[2], c[3]]))
+            .collect(),
+    )
 }
 
 /// Number of bytes Hadoop's vint encoding uses for `v`.

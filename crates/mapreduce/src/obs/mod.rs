@@ -42,5 +42,5 @@ pub use ledger::{
     PhaseRollup, LEDGER_MAX_EXACT, LEDGER_SCHEMA,
 };
 pub use report::{observe_segment, IntermediateBreakdown};
-pub use span::{Phase, SpanGuard, TraceEvent, ALL_PHASES, NUM_PHASES};
+pub use span::{Phase, SpanGuard, SpanTotal, TraceEvent, ALL_PHASES, NUM_PHASES};
 pub use trace::{hist, hist_many, recording, Attachment, Recorder, Trace, EVENT_CAPACITY};

@@ -30,7 +30,9 @@ pub enum Phase {
     Merge,
     /// One sort-split window being split, re-sorted and grouped.
     SortSplit,
-    /// Grouping merged records and running the user reduce function.
+    /// Grouping merged records and running the user reduce function:
+    /// one event per reduce task, summed over its groups
+    /// ([`SpanTotal`]).
     ReduceGroup,
     /// A failed task attempt being backed off and re-queued (the span
     /// covers the backoff wait; one span per retry).
@@ -153,6 +155,76 @@ impl Drop for SpanGuard {
                 wall_dur_ns: wall_end.saturating_sub(open.wall_start_ns),
                 cpu_ns,
             });
+        }
+    }
+}
+
+/// One phase's time summed over many short stretches — one reduce
+/// task's key groups, say — and recorded as a single [`TraceEvent`] on
+/// drop. A phase entered once per group would otherwise write one event
+/// per group and overflow the thread's event ring
+/// ([`EVENT_CAPACITY`](crate::obs::EVENT_CAPACITY)). The event starts
+/// where the first stretch started; its wall duration and CPU time are
+/// the stretches' sums. Nothing is recorded if no stretch was timed or
+/// no recorder is attached.
+#[must_use = "the total is recorded when it drops"]
+pub struct SpanTotal {
+    inner: Option<Total>,
+}
+
+struct Total {
+    phase: Phase,
+    task: u32,
+    wall_start_ns: Option<u64>,
+    wall_dur_ns: u64,
+    cpu_ns: u64,
+}
+
+impl SpanTotal {
+    /// Start an empty total for `phase` if a recorder is attached to
+    /// this thread; otherwise return an inert one.
+    #[inline]
+    pub fn begin(phase: Phase, task: u32) -> SpanTotal {
+        SpanTotal {
+            inner: trace::current_epoch_nanos().map(|_| Total {
+                phase,
+                task,
+                wall_start_ns: None,
+                wall_dur_ns: 0,
+                cpu_ns: 0,
+            }),
+        }
+    }
+
+    /// Run `f`, adding its wall and thread-CPU time to the total.
+    #[inline]
+    pub fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        let Some(total) = &mut self.inner else {
+            return f();
+        };
+        let wall0 = trace::current_epoch_nanos().unwrap_or(0);
+        let cpu0 = crate::clock::thread_cpu_nanos();
+        let out = f();
+        total.cpu_ns += crate::clock::since(cpu0);
+        let wall1 = trace::current_epoch_nanos().unwrap_or(wall0);
+        total.wall_start_ns.get_or_insert(wall0);
+        total.wall_dur_ns += wall1.saturating_sub(wall0);
+        out
+    }
+}
+
+impl Drop for SpanTotal {
+    fn drop(&mut self) {
+        if let Some(total) = self.inner.take() {
+            if let Some(wall_start_ns) = total.wall_start_ns {
+                trace::push_event(TraceEvent {
+                    phase: total.phase,
+                    task: total.task,
+                    wall_start_ns,
+                    wall_dur_ns: total.wall_dur_ns,
+                    cpu_ns: total.cpu_ns,
+                });
+            }
         }
     }
 }

@@ -429,6 +429,30 @@ mod tests {
 
     #[test]
     #[cfg(feature = "obs")]
+    fn span_total_records_one_summed_event() {
+        let rec = Recorder::new();
+        {
+            let _a = rec.attach("groups");
+            let mut total = crate::obs::SpanTotal::begin(Phase::ReduceGroup, 4);
+            for i in 0..(EVENT_CAPACITY + 10) {
+                assert_eq!(total.time(|| i + 1), i + 1);
+            }
+            drop(total);
+            drop(crate::obs::SpanTotal::begin(Phase::Merge, 4)); // nothing timed
+        }
+        let trace = rec.finish();
+        assert_eq!(trace.dropped_events, 0);
+        assert_eq!(trace.events.len(), 1);
+        let (_, e) = trace.events[0];
+        assert_eq!((e.phase, e.task), (Phase::ReduceGroup, 4));
+
+        // Detached: the closure still runs, nothing is recorded.
+        let mut total = crate::obs::SpanTotal::begin(Phase::ReduceGroup, 0);
+        assert_eq!(total.time(|| 7), 7);
+    }
+
+    #[test]
+    #[cfg(feature = "obs")]
     fn merge_rebases_thread_ids() {
         let a = Recorder::new();
         {

@@ -838,19 +838,23 @@ pub(crate) fn run_reduce_task(
 
     let mut out = Vec::new();
     let mut reduce_nanos = 0u64;
+    // One ReduceGroup event for the whole task: a span per group would
+    // overflow the event ring on jobs with many small groups.
+    let mut group_time = obs::SpanTotal::begin(Phase::ReduceGroup, task as u32);
     // Per-group reduce invocation, shared by both consumption paths.
     let mut run_group = |key: &[u8], values: &[&[u8]]| {
-        let _group_span = crate::span!(Phase::ReduceGroup, task);
-        obs::hist(Metric::ReduceGroupValues, values.len() as u64);
-        counters.add(Counter::ReduceInputGroups, 1);
-        counters.add(Counter::ReduceInputRecords, values.len() as u64);
-        let fn_t0 = clock::thread_cpu_nanos();
-        reducer.reduce(key, values, &mut |k: &[u8], v: &[u8]| {
-            counters.add(Counter::ReduceOutputRecords, 1);
-            counters.add(Counter::ReduceOutputBytes, (k.len() + v.len()) as u64);
-            out.push(KvPair::new(k.to_vec(), v.to_vec()));
-        });
-        reduce_nanos += clock::since(fn_t0);
+        group_time.time(|| {
+            obs::hist(Metric::ReduceGroupValues, values.len() as u64);
+            counters.add(Counter::ReduceInputGroups, 1);
+            counters.add(Counter::ReduceInputRecords, values.len() as u64);
+            let fn_t0 = clock::thread_cpu_nanos();
+            reducer.reduce(key, values, &mut |k: &[u8], v: &[u8]| {
+                counters.add(Counter::ReduceOutputRecords, 1);
+                counters.add(Counter::ReduceOutputBytes, (k.len() + v.len()) as u64);
+                out.push(KvPair::new(k.to_vec(), v.to_vec()));
+            });
+            reduce_nanos += clock::since(fn_t0);
+        })
     };
 
     if !ks.sort_splits() {
@@ -918,6 +922,7 @@ pub(crate) fn run_reduce_task(
             flush(&mut window);
         }
     }
+    drop(group_time);
     drop(merge_span);
     let total_nanos = clock::since(merge_t0);
     counters.add(

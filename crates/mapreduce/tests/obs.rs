@@ -6,7 +6,7 @@
 
 use scihadoop_compress::{Codec, DeflateCodec, IdentityCodec};
 use scihadoop_mapreduce::obs::{
-    chrome_trace_json, metrics_json, IntermediateBreakdown, Recorder, ALL_PHASES,
+    chrome_trace_json, metrics_json, IntermediateBreakdown, Recorder, ALL_PHASES, EVENT_CAPACITY,
 };
 use scihadoop_mapreduce::record::{Emit, FnMapper, FnReducer, InputSplit, KvPair};
 use scihadoop_mapreduce::{
@@ -137,6 +137,33 @@ fn traced_job_covers_all_phases() {
     // Spans measured real work.
     assert!(trace.phase_wall_nanos(Phase::MapEmit) > 0);
     assert_eq!(trace.dropped_events, 0);
+}
+
+/// Reduce-group time is one event per reduce task, however many groups
+/// the task has: a traced job with more groups than a thread's event
+/// ring holds, all on one reduce thread, drops nothing and keeps every
+/// reduce task's Merge span.
+#[test]
+fn many_reduce_groups_do_not_overflow_the_event_ring() {
+    let recorder = Recorder::new();
+    let reducers = 3;
+    let groups = EVENT_CAPACITY + 1000;
+    let result = sum_job(
+        JobConfig::default()
+            .with_reducers(reducers)
+            .with_slots(2, 1)
+            .with_recorder(recorder.clone()),
+        wordcount_splits(groups, groups),
+    );
+    assert_eq!(
+        result.counters.get(Counter::ReduceInputGroups),
+        groups as u64
+    );
+    let trace = recorder.finish();
+    assert_eq!(trace.dropped_events, 0);
+    assert_eq!(trace.span_count(Phase::Merge), reducers);
+    assert_eq!(trace.span_count(Phase::ReduceGroup), reducers);
+    assert!(trace.phase_wall_nanos(Phase::ReduceGroup) > 0);
 }
 
 #[test]

@@ -1,13 +1,16 @@
 //! Building MapReduce input splits from grid datasets.
 
 use crate::layout::KeyLayout;
-use scihadoop_grid::{GridError, Variable};
-use scihadoop_mapreduce::{InputSplit, KvPair};
+use scihadoop_grid::{BoundingBox, GridError, Variable};
+use scihadoop_mapreduce::{obs, InputSplit, KvPair};
 
 /// Carve a variable into `num_splits` input splits along its longest
 /// dimension — the engine's analogue of SciHadoop handing each mapper a
 /// contiguous block of the array. Each record is `(encoded coordinate,
-/// big-endian value bytes)`.
+/// big-endian value bytes)`, in row-major order within its split.
+///
+/// The splits are built on one thread per host CPU, each taking a
+/// contiguous run of them; the result is in split order regardless.
 pub fn dataset_splits(
     var: &Variable,
     layout: &KeyLayout,
@@ -20,18 +23,78 @@ pub fn dataset_splits(
         });
     }
     let boxes = var.bounds().split_longest(num_splits);
-    let mut splits = Vec::with_capacity(boxes.len());
-    for b in boxes {
-        let mut records = Vec::with_capacity(b.num_cells() as usize);
-        for cell in b.cells() {
-            let value = var.get(&cell)?;
-            let mut vbytes = Vec::with_capacity(4);
-            value.write_be(&mut vbytes);
-            records.push(KvPair::new(layout.encode(&cell), vbytes));
-        }
-        splits.push(InputSplit::new(records));
+    let template = layout.template();
+    let build = |chunk: &[BoundingBox]| -> Vec<InputSplit> {
+        chunk.iter().map(|b| box_split(var, &template, b)).collect()
+    };
+    let threads = (obs::host_cpus() as usize).clamp(1, boxes.len());
+    if threads == 1 {
+        return Ok(build(&boxes));
     }
-    Ok(splits)
+    let per_thread = boxes.len().div_ceil(threads);
+    Ok(std::thread::scope(|s| {
+        let handles: Vec<_> = boxes
+            .chunks(per_thread)
+            .map(|chunk| s.spawn(move || build(chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    }))
+}
+
+/// One box's records in row-major order. Keys are `template` with the
+/// coordinate bytes overwritten; values are copied straight out of the
+/// variable's big-endian cell bytes.
+fn box_split(var: &Variable, template: &[u8], b: &BoundingBox) -> InputSplit {
+    let extents = b.shape().extents();
+    let corner = b.corner().components();
+    let ndims = extents.len();
+    let strides = var.shape().strides();
+    let size = var.dtype().size_bytes();
+    let data = var.raw_data();
+    let coord_at = template.len() - 4 * ndims;
+    let put = |key: &mut [u8], d: usize, c: i32| {
+        key[coord_at + 4 * d..coord_at + 4 * d + 4].copy_from_slice(&c.to_be_bytes());
+    };
+
+    let mut records = Vec::with_capacity(b.num_cells() as usize);
+    let mut key = template.to_vec();
+    // Odometer over the box's rows (every dimension but the last); each
+    // row is one contiguous run of cells in the variable.
+    let last = ndims.checked_sub(1);
+    let row_dims = last.unwrap_or(0);
+    let row_len = last.map_or(1, |l| extents[l] as usize);
+    let mut row = vec![0u32; row_dims];
+    loop {
+        let mut first = last.map_or(0, |l| corner[l] as u64 * strides[l]);
+        for d in 0..row_dims {
+            let c = corner[d].wrapping_add(row[d] as i32);
+            put(&mut key, d, c);
+            first += c as u64 * strides[d];
+        }
+        let first = first as usize;
+        let cells = &data[first * size..(first + row_len) * size];
+        for (j, value) in cells.chunks_exact(size).enumerate() {
+            if let Some(l) = last {
+                put(&mut key, l, corner[l].wrapping_add(j as i32));
+            }
+            records.push(KvPair::new(key.clone(), value.to_vec()));
+        }
+        let mut d = row_dims;
+        loop {
+            if d == 0 {
+                return InputSplit::new(records);
+            }
+            d -= 1;
+            row[d] += 1;
+            if row[d] < extents[d] {
+                break;
+            }
+            row[d] = 0;
+        }
+    }
 }
 
 #[cfg(test)]

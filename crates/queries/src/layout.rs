@@ -1,5 +1,6 @@
 //! Key layouts and curve spaces shared by the queries.
 
+use scihadoop_grid::writable::coord_from_be;
 use scihadoop_grid::{Coord, GridError, GridKey, VariableId};
 use scihadoop_sfc::{Curve, CurveIndex};
 use std::sync::Arc;
@@ -43,13 +44,27 @@ impl KeyLayout {
         GridKey::new(variable, coord.clone()).to_bytes()
     }
 
-    /// Parse a coordinate back out of a serialized key.
+    /// Parse a coordinate back out of a serialized key. The key's
+    /// variable is not checked against the layout's, and bytes past the
+    /// coordinate are ignored.
     pub fn decode(&self, bytes: &[u8]) -> Result<Coord, GridError> {
-        let (key, _) = match self {
-            KeyLayout::Indexed { ndims, .. } => GridKey::read_indexed(bytes, *ndims)?,
-            KeyLayout::Named { ndims, .. } => GridKey::read_named(bytes, *ndims)?,
-        };
-        Ok(key.coord)
+        Ok(coord_from_be(self.coord_bytes(bytes)?))
+    }
+
+    /// The `4 * ndims` big-endian coordinate bytes of a serialized key:
+    /// [`KeyLayout::decode`]'s checks and errors, without allocating.
+    pub fn coord_bytes<'a>(&self, bytes: &'a [u8]) -> Result<&'a [u8], GridError> {
+        match self {
+            KeyLayout::Indexed { ndims, .. } => GridKey::coords_indexed(bytes, *ndims),
+            KeyLayout::Named { ndims, .. } => GridKey::coords_named(bytes, *ndims),
+        }
+    }
+
+    /// This layout's key for the origin. A coordinate's big-endian
+    /// components written over its last `4 * ndims` bytes give
+    /// [`KeyLayout::encode`] of that coordinate.
+    pub fn template(&self) -> Vec<u8> {
+        self.encode(&Coord::origin(self.ndims()))
     }
 
     /// Serialized key size for this layout.
@@ -130,6 +145,33 @@ mod tests {
             let bytes = layout.encode(&coord);
             assert_eq!(bytes.len(), layout.key_len());
             assert_eq!(layout.decode(&bytes).unwrap(), coord);
+        }
+    }
+
+    #[test]
+    fn template_and_coord_bytes_agree_with_encode_and_decode() {
+        let coord = Coord::new(vec![i32::MIN, -1, 7]);
+        for layout in [
+            KeyLayout::Indexed { index: 9, ndims: 3 },
+            KeyLayout::Named {
+                name: "windspeed1".into(),
+                ndims: 3,
+            },
+        ] {
+            let mut key = layout.template();
+            let at = key.len() - 12;
+            for (d, c) in coord.components().iter().enumerate() {
+                key[at + 4 * d..at + 4 * d + 4].copy_from_slice(&c.to_be_bytes());
+            }
+            assert_eq!(key, layout.encode(&coord));
+            key.push(0xAB); // trailing bytes are not coordinate bytes
+            assert_eq!(layout.coord_bytes(&key).unwrap(), &key[at..at + 12]);
+            for cut in 0..key.len() - 1 {
+                assert_eq!(
+                    layout.coord_bytes(&key[..cut]).unwrap_err(),
+                    layout.decode(&key[..cut]).unwrap_err()
+                );
+            }
         }
     }
 
